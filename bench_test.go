@@ -4,8 +4,7 @@
 // 16-core machine so `go test -bench=.` completes quickly, and reports the
 // experiment's headline quantities as custom metrics (normalized energy and
 // completion time, exactly what the figures plot). The full Table-1 (64
-// core) campaign is produced by cmd/lard-bench; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// core) campaign is produced by cmd/lard-bench.
 //
 // Metric naming: norm-<quantity>-<scheme-or-config>. Values are ratios to
 // the experiment's baseline (S-NUCA for Figures 6/7, Complete classifier
@@ -38,57 +37,39 @@ func benchBase(benches ...string) harness.Base {
 // (STREAMCLUS.).
 var fig67Benches = []string{"BARNES", "DEDUP", "FLUIDANIM.", "BLACKSCH.", "LU-NC", "STREAMCLUS."}
 
-// runMainMatrix executes the Figures 6-8 scheme matrix once per benchmark
-// iteration and reports per-scheme averages.
-func runMainMatrix(b *testing.B) *harness.Matrix {
-	b.Helper()
+// BenchmarkHeadline runs the Figures 6-8 scheme matrix once per iteration
+// and reports every quantity those figures plot:
+//
+//   - norm-energy-<scheme>: Figure-6 total dynamic energy, normalized to
+//     S-NUCA and averaged over the benchmarks;
+//   - norm-time-<scheme>: Figure-7 completion time, normalized to S-NUCA;
+//   - replica-frac-<bench>: Figure-8 replica-hit fraction of L1 misses
+//     under RT-3;
+//   - energy/time-cut-pct-vs-<baseline>: the §4.1 headline deltas, RT-3's
+//     average reduction versus each baseline (paper: energy -16/-14/-13/-21
+//     %, time -4/-9/-6/-13 % vs VR/ASR/R-NUCA/S-NUCA).
+func BenchmarkHeadline(b *testing.B) {
 	var m *harness.Matrix
-	var err error
 	for i := 0; i < b.N; i++ {
+		var err error
 		m, err = harness.RunMatrix(benchBase(fig67Benches...), harness.StandardVariants())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	return m
-}
-
-// BenchmarkFig6Energy regenerates the Figure-6 comparison: total dynamic
-// energy per scheme, normalized to S-NUCA and averaged over the benchmarks.
-func BenchmarkFig6Energy(b *testing.B) {
-	m := runMainMatrix(b)
-	_, avg := harness.Fig6Energy(m)
-	for scheme, v := range avg {
+	_, energyAvg := harness.Fig6Energy(m)
+	for scheme, v := range energyAvg {
 		b.ReportMetric(v, "norm-energy-"+scheme)
 	}
-}
-
-// BenchmarkFig7CompletionTime regenerates the Figure-7 comparison:
-// completion time per scheme, normalized to S-NUCA.
-func BenchmarkFig7CompletionTime(b *testing.B) {
-	m := runMainMatrix(b)
-	_, avg := harness.Fig7Time(m)
-	for scheme, v := range avg {
+	_, timeAvg := harness.Fig7Time(m)
+	for scheme, v := range timeAvg {
 		b.ReportMetric(v, "norm-time-"+scheme)
 	}
-}
-
-// BenchmarkFig8MissTypes regenerates the Figure-8 breakdown and reports the
-// replica-hit fraction of L1 misses for the locality-aware protocol.
-func BenchmarkFig8MissTypes(b *testing.B) {
-	m := runMainMatrix(b)
 	for _, bench := range []string{"BARNES", "STREAMCLUS."} {
 		r := m.Get(bench, "RT-3")
 		b.ReportMetric(float64(r.Miss[stats.LLCReplicaHit])/float64(r.Miss.L1Misses()),
 			"replica-frac-"+bench)
 	}
-}
-
-// BenchmarkHeadline reports the §4.1 headline deltas: RT-3's average energy
-// and time reduction versus each baseline (paper: energy -16/-14/-13/-21 %,
-// time -4/-9/-6/-13 % vs VR/ASR/R-NUCA/S-NUCA).
-func BenchmarkHeadline(b *testing.B) {
-	m := runMainMatrix(b)
 	for _, baseline := range []string{"VR", "ASR", "R-NUCA", "S-NUCA"} {
 		var esum, tsum float64
 		for _, bench := range m.Benches {
@@ -243,13 +224,14 @@ func BenchmarkFig7MemberUntraced(b *testing.B) { fig7Member(b, nil) }
 // full per-run cost of the tracing side channel. Compare its ns/op against
 // BenchmarkFig7MemberUntraced: the delta is the observability overhead,
 // and the acceptance bar for the disabled path is < 2%. It also reports
-// the coherence loop's share of the run, the quantity the trace endpoint's
-// waterfall visualizes.
+// the coherence loop's and trace synthesis's shares of the run, the
+// quantities the trace endpoint's waterfall visualizes.
 func BenchmarkFig7MemberTraced(b *testing.B) {
 	var tm lard.Timing
 	fig7Member(b, &tm)
 	if total := tm.Total(); total > 0 {
 		b.ReportMetric(float64(tm.CoherenceLoop)/float64(total), "coherence-loop-share")
+		b.ReportMetric(float64(tm.TraceDecode)/float64(total), "trace-decode-share")
 	}
 }
 
@@ -271,37 +253,6 @@ func BenchmarkFig7MemberTelemetry(b *testing.B) {
 		epochs = float64(rec.Epochs())
 	}
 	b.ReportMetric(epochs, "epochs/run")
-}
-
-// BenchmarkFig7MemberWorkers scales the intra-run access scheduler across
-// worker-lane widths on a Figure-7 member run. DEDUP is the member by
-// design: its 73% L1 hit rate gives the scheduler the widest conflict-free
-// rounds of the Figure-7 set (~8.3 commits/round at 16 cores, against ~2.5
-// for the miss-heavy BARNES), so it is where lane parallelism has the most
-// work to expose. Every width produces the byte-identical result (the
-// golden grid re-runs at 2 and 4 lanes), so the only quantity that moves
-// is wall-clock.
-//
-// Read the numbers against the host: lane goroutines only engage when
-// GOMAXPROCS > 1 — speedup at 4 lanes needs idle CPUs to run them, and the
-// target is >= 1.3x over workers1 when they exist. On a single-CPU host
-// the scheduler takes the master-inline path instead, and the higher
-// widths measure the pure round machinery (footprint peeks, selection,
-// canonical commit) with no execution parallelism to pay for it — a
-// regression fence on scheduling overhead, not a speedup claim. workers1
-// must always sit within noise of BenchmarkFig7MemberUntraced because
-// Workers <= 1 takes the untouched sequential path.
-func BenchmarkFig7MemberWorkers(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run("workers"+itoa(w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := lard.Run("DEDUP", lard.LocalityAware(3),
-					lard.Options{Cores: 16, OpsScale: 0.5, SimWorkers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func itoa(v int) string {

@@ -26,8 +26,7 @@
 // series plus a warmup/steady/tail phase summary, pulled from
 // GET /v1/runs/{id}/timeline.
 //
-// Each figure prints an aligned text table; EXPERIMENTS.md records the
-// paper-vs-measured comparison produced by this tool.
+// Each figure prints an aligned text table.
 package main
 
 import (
@@ -50,7 +49,6 @@ func main() {
 		seed        = flag.Uint64("seed", 0, "workload seed")
 		breakdown   = flag.String("breakdown", "", "also print per-component stacks for this benchmark")
 		par         = flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS)")
-		simWorkers  = flag.Int("sim-workers", 1, "intra-run worker lanes per simulation (identical results at any width; forced to 1 when -par runs more than one simulation at a time)")
 		benchList   = flag.String("bench", "", "comma-separated benchmark subset (default: all)")
 		storeDir    = flag.String("store", "", "result store directory (empty = no caching)")
 		storeShards = flag.Int("store-shards", 1, "consistent-hashed disk shards under the store directory")
@@ -59,10 +57,7 @@ func main() {
 		timeline    = flag.Bool("timeline", false, "with -remote against a telemetry server: print each member's epoch-timeline sparklines")
 	)
 	flag.Parse()
-	if *simWorkers < 0 {
-		fatal(fmt.Errorf("-sim-workers must be non-negative, got %d", *simWorkers))
-	}
-	base := harness.Base{Cores: *cores, OpsScale: *scale, Seed: *seed, Parallelism: *par, SimWorkers: *simWorkers}
+	base := harness.Base{Cores: *cores, OpsScale: *scale, Seed: *seed, Parallelism: *par}
 	if *benchList != "" {
 		base.Benchmarks = strings.Split(*benchList, ",")
 	}

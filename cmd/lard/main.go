@@ -30,22 +30,21 @@ import (
 
 func main() {
 	var (
-		bench      = flag.String("bench", "BARNES", "benchmark name (see -list)")
-		scheme     = flag.String("scheme", "RT", "scheme kind: "+strings.Join(lard.SchemeKinds(), " | "))
-		rt         = flag.Int("rt", 3, "replication threshold (RT and EHC schemes)")
-		k          = flag.Int("k", 3, "Limited-k classifier size, 0 = Complete (RT scheme)")
-		cluster    = flag.Int("cluster", 1, "replication cluster size (RT scheme)")
-		asr        = flag.Float64("asr", 1.0, "ASR replication level (ASR scheme)")
-		cores      = flag.Int("cores", 64, "core count (64 or 16)")
-		scale      = flag.Float64("scale", 1.0, "per-core operation scale")
-		seed       = flag.Uint64("seed", 0, "workload seed")
-		lru        = flag.Bool("lru", false, "use plain LRU LLC replacement (§4.2 ablation)")
-		oracle     = flag.Bool("oracle", false, "enable the §2.3.2 lookup oracle")
-		runs       = flag.Bool("runs", false, "collect the Figure-1 run-length distribution")
-		simWorkers = flag.Int("sim-workers", 1, "intra-run worker lanes for the parallel access scheduler (identical results at any width)")
-		list       = flag.Bool("list", false, "list benchmark names and exit")
-		schemes    = flag.Bool("schemes", false, "list registered schemes with their tunables and exit")
-		tlOut      = flag.String("timeline-out", "", "dump the run's epoch timeline as CSV to this file (\"-\" = stdout)")
+		bench   = flag.String("bench", "BARNES", "benchmark name (see -list)")
+		scheme  = flag.String("scheme", "RT", "scheme kind: "+strings.Join(lard.SchemeKinds(), " | "))
+		rt      = flag.Int("rt", 3, "replication threshold (RT and EHC schemes)")
+		k       = flag.Int("k", 3, "Limited-k classifier size, 0 = Complete (RT scheme)")
+		cluster = flag.Int("cluster", 1, "replication cluster size (RT scheme)")
+		asr     = flag.Float64("asr", 1.0, "ASR replication level (ASR scheme)")
+		cores   = flag.Int("cores", 64, "core count (64 or 16)")
+		scale   = flag.Float64("scale", 1.0, "per-core operation scale")
+		seed    = flag.Uint64("seed", 0, "workload seed")
+		lru     = flag.Bool("lru", false, "use plain LRU LLC replacement (§4.2 ablation)")
+		oracle  = flag.Bool("oracle", false, "enable the §2.3.2 lookup oracle")
+		runs    = flag.Bool("runs", false, "collect the Figure-1 run-length distribution")
+		list    = flag.Bool("list", false, "list benchmark names and exit")
+		schemes = flag.Bool("schemes", false, "list registered schemes with their tunables and exit")
+		tlOut   = flag.String("timeline-out", "", "dump the run's epoch timeline as CSV to this file (\"-\" = stdout)")
 	)
 	flag.Parse()
 
@@ -67,12 +66,7 @@ func main() {
 
 	s := lard.Scheme{Kind: *scheme, RT: *rt, ClassifierK: *k, ClusterSize: *cluster,
 		ASRLevel: *asr, PlainLRU: *lru, LookupOracle: *oracle}
-	if *simWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "lard: -sim-workers must be non-negative, got %d\n", *simWorkers)
-		os.Exit(2)
-	}
-	opt := lard.Options{Cores: *cores, OpsScale: *scale, Seed: *seed, TrackRuns: *runs,
-		SimWorkers: *simWorkers}
+	opt := lard.Options{Cores: *cores, OpsScale: *scale, Seed: *seed, TrackRuns: *runs}
 	var rec *obs.Recorder
 	if *tlOut != "" {
 		rec = obs.NewRecorder(0)

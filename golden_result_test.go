@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"lard/internal/sim"
@@ -110,31 +109,22 @@ func TestGoldenResults(t *testing.T) {
 				if got != want {
 					t.Errorf("simulated outcome changed:\n  pinned %s\n  got    %s", want, got)
 				}
-				// Deterministic intra-run parallelism: the same cell re-run
-				// through the conflict-aware parallel scheduler at several
-				// worker widths must hash identically to the pinned value.
-				// Sub-tests of the same test binary on purpose: CI's filter
-				// guard greps for TestGoldenResults in the output, and these
-				// must never be filterable separately from the pin they check.
-				// GOMAXPROCS is raised so the scheduler actually fans out to
-				// worker-lane goroutines — on a single-CPU machine it would
-				// otherwise take the master-inline path, and the concurrent
-				// execution machinery would go untested.
-				for _, workers := range []int{2, 4} {
-					workers := workers
-					t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-						popt := opt
-						popt.Workers = workers
-						pres := sim.Run(cfg, prof, popt)
-						if pres == nil {
-							t.Fatal("sim.Run returned nil without an interrupt")
-						}
-						if ph := goldenHash(t, pres); ph != want {
-							t.Errorf("parallel run (workers=%d) diverged from pinned outcome:\n  pinned %s\n  got    %s", workers, want, ph)
-						}
-					})
-				}
+				// The same cell with the SWMR/inclusion checker on: the
+				// checker only observes, so the outcome must hash to the same
+				// pin. A sub-test on purpose: CI's filter guard greps for
+				// TestGoldenResults in the output, so the checked run can
+				// never be filtered out separately from the pin it checks.
+				t.Run("invariants", func(t *testing.T) {
+					copt := opt
+					copt.CheckInvariants = true
+					cres := sim.Run(cfg, prof, copt)
+					if cres == nil {
+						t.Fatal("sim.Run returned nil without an interrupt")
+					}
+					if ch := goldenHash(t, cres); ch != want {
+						t.Errorf("invariant-checked run diverged from pinned outcome:\n  pinned %s\n  got    %s", want, ch)
+					}
+				})
 			})
 		}
 	}

@@ -35,7 +35,6 @@ func (e *Engine) Access(c mem.CoreID, t mem.Cycles, op Op) AccessResult {
 
 func (e *Engine) doAccess(c mem.CoreID, t mem.Cycles, op Op) AccessResult {
 	res := AccessResult{}
-	e.note(c)
 	tl := e.tiles[c]
 	l1 := tl.l1For(op.Type)
 
@@ -89,7 +88,6 @@ func (e *Engine) doAccess(c mem.CoreID, t mem.Cycles, op Op) AccessResult {
 // the completion time. On a miss nothing is charged here; afterReplicaMiss
 // accounts the probe cost unless the §2.3.2 oracle is enabled.
 func (e *Engine) replicaLookup(c, rslice mem.CoreID, op Op, t mem.Cycles, res *AccessResult) (mem.Cycles, bool) {
-	e.note(rslice)
 	tl := e.tiles[rslice]
 	l := tl.llc.Lookup(op.Line)
 	if l == nil || l.Meta.home {
@@ -153,7 +151,9 @@ func (e *Engine) replicaLookup(c, rslice mem.CoreID, op Op, t mem.Cycles, res *A
 	res.Breakdown[stats.L1ToLLCReplica] += t - t0
 	res.Miss = stats.LLCReplicaHit
 	e.replicaHits[l.Meta.class]++
-	e.recordRun(op.Line, c, op.Type.IsWrite(), op.Class)
+	if e.runs != nil {
+		e.runs.record(op.Line, c, op.Type.IsWrite(), op.Class)
+	}
 	return t, true
 }
 
@@ -189,7 +189,6 @@ func (e *Engine) atHome(c, home mem.CoreID, op Op, t mem.Cycles, res *AccessResu
 	res.Breakdown[stats.L1ToLLCHome] += arrive - tstart
 
 	// Home serialization: the paper's "LLC home waiting time".
-	e.note(home)
 	begin := max(arrive, e.tiles[home].busy[op.Line])
 	res.Breakdown[stats.LLCHomeWaiting] += begin - arrive
 	t = begin + e.cfg.LLCTagLatency
@@ -202,7 +201,6 @@ func (e *Engine) atHome(c, home mem.CoreID, op Op, t mem.Cycles, res *AccessResu
 		t0 := t
 		ctrl := e.dram.ControllerFor(op.Line)
 		ctile := e.dram.TileOf(ctrl)
-		e.note(ctile)
 		t = e.mesh.Send(home, ctile, e.ctrlFlits(), t)
 		t = e.dram.Access(ctrl, t)
 		t = e.mesh.Send(ctile, home, e.dataFlits(), t)
@@ -215,7 +213,9 @@ func (e *Engine) atHome(c, home mem.CoreID, op Op, t mem.Cycles, res *AccessResu
 	} else {
 		res.Miss = stats.LLCHomeHit
 	}
-	e.recordRun(op.Line, c, op.Type.IsWrite(), op.Class)
+	if e.runs != nil {
+		e.runs.record(op.Line, c, op.Type.IsWrite(), op.Class)
+	}
 	if !hl.Meta.firstSeen {
 		hl.Meta.firstSeen = true
 		hl.Meta.firstCore = c
@@ -499,7 +499,6 @@ type invResult struct {
 // invalidates every copy found; both structures are always probed because
 // the directory has a single pointer per core (§2.3.2).
 func (e *Engine) invalidateAt(s mem.CoreID, la mem.LineAddr) invResult {
-	e.note(s)
 	tl := e.tiles[s]
 	var r invResult
 	e.chargeL1(true, false)
@@ -537,7 +536,6 @@ func (e *Engine) invalidateAt(s mem.CoreID, la mem.LineAddr) invResult {
 // back-invalidates the L1 copies of every core in rs's cluster except the
 // writer (whose upgrade keeps its own copy).
 func (e *Engine) invalidateClusterReplica(rs mem.CoreID, la mem.LineAddr, writer mem.CoreID) invResult {
-	e.note(rs)
 	var r invResult
 	tl := e.tiles[rs]
 	e.chargeLLCTag(false)
@@ -576,7 +574,6 @@ func (e *Engine) invalidateClusterReplica(rs mem.CoreID, la mem.LineAddr, writer
 // dirty data was collected. Under cluster replication the owner's E/M
 // replica lives at its cluster's replica slice, which is downgraded too.
 func (e *Engine) downgradeAt(s mem.CoreID, la mem.LineAddr) bool {
-	e.note(s)
 	tl := e.tiles[s]
 	dirty := false
 	if l := tl.l1i.Lookup(la); l != nil {
@@ -603,7 +600,6 @@ func (e *Engine) downgradeAt(s mem.CoreID, la mem.LineAddr) bool {
 // downgradeReplicaAt demotes the replica copy of la at slice sl (if any) to
 // Shared and reports whether it was dirty.
 func (e *Engine) downgradeReplicaAt(sl mem.CoreID, la mem.LineAddr) bool {
-	e.note(sl)
 	l := e.tiles[sl].llc.Lookup(la)
 	if l == nil || l.Meta.home {
 		return false
@@ -657,7 +653,6 @@ func (e *Engine) temporalHint(c mem.CoreID, line *l1Line, t mem.Cycles) {
 	}
 	line.Meta.hintCount = 0
 	la := line.Addr
-	e.note(c)
 	// The LLC copy to refresh: the local replica if present, else the home.
 	if l := e.tiles[c].llc.Lookup(la); l != nil {
 		e.tiles[c].llc.Touch(l)
@@ -665,7 +660,6 @@ func (e *Engine) temporalHint(c mem.CoreID, line *l1Line, t mem.Cycles) {
 		return
 	}
 	home := e.homeOfLine(la, c)
-	e.note(home)
 	e.mesh.Send(c, home, e.ctrlFlits(), t)
 	if hl := e.homeEntry(home, la); hl != nil {
 		e.tiles[home].llc.Touch(hl)

@@ -20,17 +20,6 @@ type cacheLine = cache.Line[llcMeta]
 // l1Line is the L1 line type.
 type l1Line = cache.Line[l1Meta]
 
-// runLogEvent is one deferred run-tracker event recorded by a worker lane;
-// the master engine replays lane logs in canonical commit order so the
-// Figure-1 histogram is identical to a sequential run's.
-type runLogEvent struct {
-	la      mem.LineAddr
-	c       mem.CoreID
-	write   bool
-	evicted bool
-	class   mem.DataClass
-}
-
 // Options configure an Engine beyond the architectural Config.
 type Options struct {
 	// Scheme selects the LLC management scheme.
@@ -68,7 +57,6 @@ type Engine struct {
 	instrClusterHome bool
 	clusterRepl      bool
 	consumeOnHit     bool
-	victimRepl       bool
 
 	tiles []*tile
 	mesh  *network.Mesh
@@ -106,47 +94,6 @@ type Engine struct {
 	clfPromotions uint64
 	clfDemotions  uint64
 	dirOcc        directory.Occupancy
-
-	// Worker-lane state (see parallel.go). A worker clone shares tiles,
-	// pages, policy traits and configuration with its parent but carries
-	// private meters, counters, scratch and free lists, so footprint-
-	// disjoint transactions can execute concurrently without touching
-	// shared mutable state. touched accumulates the tiles an access
-	// actually visited (one OR per visit — negligible on the sequential
-	// path) and is checked against the declared footprint after each
-	// parallel execution. logRuns redirects run-tracker events into runlog
-	// for canonical-order replay at commit.
-	parent     *Engine
-	touched    uint64
-	logRuns    bool
-	runlog     []runLogEvent
-	routeMasks []uint64
-}
-
-// note records that the access currently executing visited tile c.
-func (e *Engine) note(c mem.CoreID) { e.touched |= 1 << uint(c) }
-
-// recordRun routes a run-tracker access event either directly into the
-// tracker (sequential path) or into the lane's replay log (parallel path).
-func (e *Engine) recordRun(la mem.LineAddr, c mem.CoreID, write bool, class mem.DataClass) {
-	if e.logRuns {
-		e.runlog = append(e.runlog, runLogEvent{la: la, c: c, write: write, class: class})
-		return
-	}
-	if e.runs != nil {
-		e.runs.record(la, c, write, class)
-	}
-}
-
-// recordRunEvicted is recordRun for home-eviction events.
-func (e *Engine) recordRunEvicted(la mem.LineAddr) {
-	if e.logRuns {
-		e.runlog = append(e.runlog, runLogEvent{la: la, evicted: true})
-		return
-	}
-	if e.runs != nil {
-		e.runs.evicted(la)
-	}
 }
 
 // Mesh returns the engine's interconnect model (diagnostics).
@@ -192,7 +139,6 @@ func New(cfg *config.Config, opts Options) *Engine {
 	e.policy = desc.New(e)
 	e.usesReplicas = desc.UsesReplicas
 	e.rnucaPlacement = desc.RNUCAPlacement
-	e.victimRepl = desc.VictimReplicates
 	e.instrClusterHome = e.policy.InstrClusterHome()
 	e.clusterRepl = e.policy.ClusterReplication()
 	e.consumeOnHit = e.policy.ConsumeReplicaOnHit()

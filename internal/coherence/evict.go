@@ -11,7 +11,6 @@ import (
 // The dispose runs first, so an entry recycled from the victim can serve
 // the incoming line immediately.
 func (e *Engine) insertHomeLine(home mem.CoreID, op Op, t mem.Cycles) *cacheLine {
-	e.note(home)
 	tl := e.tiles[home]
 	ins, victim, evicted := tl.llc.Insert(op.Line, mem.Shared, e.llcVictim(tl))
 	if evicted {
@@ -28,7 +27,6 @@ func (e *Engine) insertHomeLine(home mem.CoreID, op Op, t mem.Cycles) *cacheLine
 // insertReplica allocates a replica at the given slice (never the line's
 // home slice), initializing the replica-reuse counter to 1 (§2.2.1).
 func (e *Engine) insertReplica(slice mem.CoreID, la mem.LineAddr, state mem.MESI, dirty bool, version uint64, class mem.DataClass, everWritten bool, t mem.Cycles) {
-	e.note(slice)
 	tl := e.tiles[slice]
 	if existing := tl.llc.Lookup(la); existing != nil {
 		// Refresh of a replica that survived (e.g. a same-core refetch).
@@ -86,7 +84,6 @@ func (e *Engine) evictHomeLine(home mem.CoreID, la mem.LineAddr, t mem.Cycles) {
 // buffers hide it); the paper's replacement policy keeps these
 // back-invalidations rare (§2.2.3-2.2.4).
 func (e *Engine) disposeHome(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
-	e.note(slice)
 	la := victim.Addr
 	ent := victim.Meta.dir
 	dirty := victim.Dirty
@@ -128,10 +125,11 @@ func (e *Engine) disposeHome(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
 		}
 		e.mesh.Send(rs, slice, flits, t)
 	}
-	e.recordRunEvicted(la)
+	if e.runs != nil {
+		e.runs.evicted(la)
+	}
 	if dirty {
 		ctrl := e.dram.ControllerFor(la)
-		e.note(e.dram.TileOf(ctrl))
 		arr := e.mesh.Send(slice, e.dram.TileOf(ctrl), e.dataFlits(), t)
 		e.dram.Access(ctrl, arr)
 	}
@@ -146,7 +144,6 @@ func (e *Engine) disposeHome(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
 // classifier re-evaluates the core's replica status using the replica reuse
 // alone (eviction rule of Figure 3).
 func (e *Engine) replicaEvicted(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
-	e.note(slice)
 	e.replicaEvicts++
 	la := victim.Addr
 	dirty := victim.Dirty
@@ -186,7 +183,6 @@ func (e *Engine) replicaEvicted(slice mem.CoreID, victim cacheLine, t mem.Cycles
 	}
 
 	home := e.homeOfLine(la, slice)
-	e.note(home)
 	flits := e.ctrlFlits()
 	if dirty {
 		flits = e.dataFlits()
@@ -227,7 +223,6 @@ func (e *Engine) replicaEvicted(slice mem.CoreID, victim cacheLine, t mem.Cycles
 // ASR), or acknowledge the home (with a write-back when dirty). Eviction
 // traffic is off the requester's critical path.
 func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, t mem.Cycles) {
-	e.note(c)
 	la := victim.Addr
 	tl := e.tiles[c]
 
@@ -253,7 +248,6 @@ func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, t mem.Cycles) {
 	// a sharer through its replica, so the home is not notified.
 	if e.usesReplicas {
 		rslice := e.policy.ReplicaSlice(la, c)
-		e.note(rslice)
 		if l := e.tiles[rslice].llc.Lookup(la); l != nil && !l.Meta.home {
 			if rslice != c {
 				flits := e.ctrlFlits()
@@ -282,7 +276,6 @@ func (e *Engine) handleL1Evict(c mem.CoreID, victim l1Line, t mem.Cycles) {
 
 	// Default: acknowledge the home (write-back when dirty).
 	home := e.homeOfLine(la, c)
-	e.note(home)
 	flits := e.ctrlFlits()
 	if victim.Dirty {
 		flits = e.dataFlits()

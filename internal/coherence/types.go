@@ -9,8 +9,9 @@
 //
 // Coherence transactions execute atomically at the home directory with
 // timing composed from the network, DRAM and queueing models; requests to the
-// same line serialize on the home entry's NextFree cycle, which produces the
-// paper's "LLC home waiting time" (see DESIGN.md for the modelling argument).
+// same line serialize at its home slice (tile.busy), which produces the
+// paper's "LLC home waiting time" component of the §3.4 completion-time
+// breakdown.
 package coherence
 
 import (
@@ -122,10 +123,10 @@ type tile struct {
 	l1d *cache.Cache[l1Meta]
 	llc *cache.Cache[llcMeta]
 	// busy[la] is the cycle at which this slice's home entry for la is free
-	// for the next request (the paper's "LLC home waiting time"). Keeping
-	// the map per tile (rather than engine-global keyed by (home, line))
-	// lets the parallel scheduler treat it as tile state: transactions with
-	// disjoint tile footprints never touch the same map.
+	// for the next request (the paper's "LLC home waiting time"). The map
+	// lives with the slice that serializes the requests: instruction lines
+	// under R-NUCA have one home per cluster, so the same line can be busy
+	// at several homes independently.
 	busy map[mem.LineAddr]mem.Cycles
 }
 

@@ -138,8 +138,8 @@ type Entry struct {
 	Classifier any
 	// Version counts writes serialized at this home. Every valid copy of the
 	// line records the version it read; the single-writer-multiple-reader
-	// invariant implies a valid copy always matches the home version. The
-	// simulator checks this on every read (see DESIGN.md §2).
+	// invariant implies a valid copy always matches the home version. With
+	// invariant checking on, the coherence engine checks this on every read.
 	Version uint64
 }
 

@@ -126,11 +126,3 @@ func (m *Meter) Breakdown() [NumComponents]float64 { return m.pj }
 
 // Reset zeroes the meter.
 func (m *Meter) Reset() { *m = Meter{} }
-
-// AddMeter accumulates other into m component-wise.
-func (m *Meter) AddMeter(other *Meter) {
-	for i := range m.pj {
-		m.pj[i] += other.pj[i]
-		m.counts[i] += other.counts[i]
-	}
-}

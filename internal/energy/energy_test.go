@@ -86,17 +86,6 @@ func TestMeterReset(t *testing.T) {
 	}
 }
 
-func TestMeterAddMeter(t *testing.T) {
-	var a, b Meter
-	a.Add(L1D, 12)
-	b.Add(L1D, 2)
-	b.Add(DRAM, 100)
-	a.AddMeter(&b)
-	if a.PJ(L1D) != 14 || a.PJ(DRAM) != 100 || a.Count(L1D) != 2 {
-		t.Errorf("AddMeter: %+v", a)
-	}
-}
-
 // TestMeterTotalMatchesSum is a property: Total always equals the sum of the
 // per-component breakdown, no matter the sequence of Adds.
 func TestMeterTotalMatchesSum(t *testing.T) {

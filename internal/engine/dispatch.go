@@ -101,14 +101,4 @@ func (d *localityDispatcher) Place(key string, lanes int) Placement {
 	}
 }
 
-// RoundRobinDispatcher ignores locality entirely: pure hash spreading,
-// every job cold-class. The control policy for benchmarks and tests.
-type RoundRobinDispatcher struct{}
-
-func (RoundRobinDispatcher) Name() string { return "round-robin" }
-
-func (RoundRobinDispatcher) Place(key string, lanes int) Placement {
-	return Placement{Class: ClassCold, Lane: hashLane(key, lanes)}
-}
-
 var _ store.Locator = (*resultstore.Store)(nil)

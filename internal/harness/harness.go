@@ -29,14 +29,6 @@ type Base struct {
 	Seed uint64
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// SimWorkers sets each member run's intra-run worker-lane count (the
-	// conflict-aware parallel access scheduler; 0 or 1 = sequential). The
-	// simulated outcome is identical at every width. Matrix-level
-	// parallelism composes badly with intra-run lanes — both multiply into
-	// the same cores — so RunMatrix guards this back to 1 whenever its own
-	// worker fan-out exceeds one: use SimWorkers to speed up a single run
-	// (Parallelism: 1), and Parallelism to saturate a campaign.
-	SimWorkers int
 	// Benchmarks restricts the benchmark set (nil = all 21).
 	Benchmarks []string
 	// Store, when non-nil, caches every simulation by its content address:
@@ -288,7 +280,6 @@ func Run(base Base, bench string, v Variant) (*sim.Result, error) {
 		Seed:      base.Seed,
 		OpsScale:  base.OpsScale,
 		TrackRuns: v.TrackRuns,
-		Workers:   base.SimWorkers,
 		Progress:  base.memberObserver(bench, v.Label),
 	})
 	if err != nil {
@@ -451,13 +442,6 @@ func RunMatrix(base Base, variants []Variant) (*Matrix, error) {
 	par := base.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
-	}
-	// Oversubscription guard: with several members simulating at once the
-	// matrix already fills the machine; intra-run lanes on top would just
-	// contend. SimWorkers only takes effect when the matrix runs members
-	// one at a time.
-	if par > 1 && base.SimWorkers > 1 {
-		base.SimWorkers = 1
 	}
 	var (
 		mu       sync.Mutex

@@ -72,9 +72,6 @@ func SpecFor(bench string, cfg *config.Config, opt sim.Options) Spec {
 	}
 	opt.Progress, opt.ProgressEvery, opt.Interrupt, opt.Timing = nil, 0, nil, nil
 	opt.Telemetry = nil
-	// Intra-run parallelism is outcome-identical at every width, so the
-	// worker count is not run identity either.
-	opt.Workers = 0
 	return Spec{Benchmark: bench, Config: *cfg, Options: opt}
 }
 

@@ -110,9 +110,6 @@ type Config struct {
 	Store *resultstore.Store
 	// Workers is the simulation worker-pool size (default GOMAXPROCS).
 	Workers int
-	// SimWorkers is the intra-run worker-lane count each simulation runs
-	// with (see engine.Config.SimWorkers; guarded to 1 when Workers > 1).
-	SimWorkers int
 	// QueueDepth bounds the pending-job queue (default 2x Workers);
 	// submissions beyond it are rejected with 429.
 	QueueDepth int
@@ -164,7 +161,6 @@ func New(cfg Config) (*Server, error) {
 	eng, err := engine.New(engine.Config{
 		Store:            cfg.Store,
 		Workers:          cfg.Workers,
-		SimWorkers:       cfg.SimWorkers,
 		QueueDepth:       cfg.QueueDepth,
 		Run:              cfg.Run,
 		MaxCompletedJobs: cfg.MaxCompletedJobs,
@@ -505,11 +501,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // statsView is the GET /stats body.
 type statsView struct {
-	Workers int `json:"workers"`
-	// SimWorkers is the effective intra-run worker-lane count each
-	// simulation runs with (the configured -sim-workers after the engine's
-	// oversubscription guard).
-	SimWorkers   int               `json:"sim_workers"`
+	Workers      int               `json:"workers"`
 	QueueLen     int               `json:"queue_len"`
 	QueueCap     int               `json:"queue_cap"`
 	Busy         int               `json:"busy"`
@@ -544,13 +536,12 @@ type engineStatsView struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	es := s.engine.Stats()
 	view := statsView{
-		Workers:    es.Workers,
-		SimWorkers: es.SimWorkers,
-		QueueLen:   es.QueueLen,
-		QueueCap:   es.QueueCap,
-		Busy:       es.Busy,
-		Jobs:       es.Jobs,
-		Campaigns:  es.Campaigns,
+		Workers:   es.Workers,
+		QueueLen:  es.QueueLen,
+		QueueCap:  es.QueueCap,
+		Busy:      es.Busy,
+		Jobs:      es.Jobs,
+		Campaigns: es.Campaigns,
 		Engine: engineStatsView{
 			Dispatcher:    es.Dispatcher,
 			Dispatch:      es.Dispatch,

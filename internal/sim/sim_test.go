@@ -226,3 +226,39 @@ func TestInterrupt(t *testing.T) {
 		t.Fatal("test never armed the interrupt")
 	}
 }
+
+// TestInterruptFromAnotherGoroutine closes the interrupt channel from a
+// goroutine other than the one running the loop, the way a cancelled
+// context's Done channel closes under the service. The first progress
+// callback hands off to a canceller and waits until it has closed the
+// channel, so the run must stop at the next cadence check. Run under
+// -race in CI.
+func TestInterruptFromAnotherGoroutine(t *testing.T) {
+	stop := make(chan struct{})
+	armed := make(chan struct{})
+	closed := make(chan struct{})
+	go func() {
+		<-armed
+		close(stop)
+		close(closed)
+	}()
+	fired := false
+	opt := Options{
+		OpsScale:      0.05,
+		ProgressEvery: 64,
+		Interrupt:     stop,
+		Progress: func(done, total uint64) {
+			if !fired && done < total {
+				fired = true
+				close(armed)
+				<-closed
+			}
+		},
+	}
+	if r := runSmall(t, coherence.SNUCA, "BARNES", opt); r != nil {
+		t.Fatalf("interrupted run returned a result (%d ops)", r.Ops)
+	}
+	if !fired {
+		t.Fatal("test never armed the interrupt")
+	}
+}

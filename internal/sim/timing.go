@@ -11,12 +11,17 @@ import "time"
 // The phases partition Run's wall time:
 //
 //	Setup         — configuration validation and coherence-engine build
-//	TraceDecode   — synthetic workload generation from the profile
-//	CoherenceLoop — the event loop (the paper's simulated execution)
+//	TraceDecode   — synthetic workload generation: the per-core stream
+//	                set-up before the loop plus every Stream.Fill the loop
+//	                makes (one per 256-operation chunk)
+//	CoherenceLoop — the event loop minus those refills (the paper's
+//	                simulated execution)
 //	Finalize      — stats aggregation and energy accounting
 //
+// TraceDecode is therefore not one contiguous interval: its in-loop part
+// is the sum of the refill calls, each timed only when Timing is wired.
 // When the run is interrupted, only the phases completed so far are
-// filled; CoherenceLoop holds the partial loop time.
+// filled; CoherenceLoop and TraceDecode hold the partial loop's shares.
 type Timing struct {
 	// Start is the wall-clock instant Run began.
 	Start time.Time

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"lard/internal/coherence"
 	"lard/internal/config"
@@ -10,24 +11,35 @@ import (
 
 // TestTimingFilled checks the phase breakdown side channel: a run with a
 // Timing wired fills every phase (the coherence loop dominating), and the
-// phases partition the run's wall time.
+// phases partition the run's wall time — moving the in-loop trace refills
+// from CoherenceLoop to TraceDecode must neither leave a phase negative nor
+// make the phases sum to more than the wall time measured around Run.
 func TestTimingFilled(t *testing.T) {
+	p, err := trace.ProfileByName("BARNES")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var tm Timing
-	r := runSmall(t, coherence.LocalityAware, "BARNES", Options{Timing: &tm})
+	start := time.Now()
+	r := Run(config.Small(), p, Options{Scheme: coherence.LocalityAware, OpsScale: 0.05, Timing: &tm})
+	wall := time.Since(start)
 	if r == nil {
 		t.Fatal("run returned nil")
 	}
 	if tm.Start.IsZero() {
 		t.Error("Timing.Start not stamped")
 	}
-	if tm.CoherenceLoop <= 0 {
-		t.Errorf("CoherenceLoop = %v, want > 0", tm.CoherenceLoop)
+	if tm.CoherenceLoop <= 0 || tm.TraceDecode <= 0 {
+		t.Errorf("CoherenceLoop = %v, TraceDecode = %v, want both > 0", tm.CoherenceLoop, tm.TraceDecode)
 	}
-	if tm.Setup < 0 || tm.TraceDecode < 0 || tm.Finalize < 0 {
+	if tm.Setup < 0 || tm.Finalize < 0 {
 		t.Errorf("negative phase: %+v", tm)
 	}
 	if tm.Total() <= 0 || tm.Total() < tm.CoherenceLoop {
 		t.Errorf("Total() = %v inconsistent with phases %+v", tm.Total(), tm)
+	}
+	if tm.Total() > wall {
+		t.Errorf("Total() = %v exceeds the %v wall time around Run: %+v", tm.Total(), wall, tm)
 	}
 }
 

@@ -212,7 +212,7 @@ func Mean(vs []float64) float64 {
 }
 
 // Table renders rows as an aligned text table with a header row and a
-// separator, suitable for terminal output and EXPERIMENTS.md code blocks.
+// separator, suitable for terminal output and Markdown code blocks.
 func Table(headers []string, rows [][]string) string {
 	width := make([]int, len(headers))
 	for i, h := range headers {

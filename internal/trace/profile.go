@@ -90,8 +90,8 @@ func (p Profile) scaled(cfg *config.Config) Profile {
 }
 
 // Profiles lists the 21 benchmarks of Table 2 in the order of Figure 6. The
-// comments record the paper behaviour each parameterization encodes; see
-// §4.1 of the paper and EXPERIMENTS.md for the correspondence.
+// comments record the paper behaviour each parameterization encodes; §4.1
+// of the paper describes that behaviour per benchmark.
 var Profiles = []Profile{
 	// RADIX: streaming thread-private sort buckets plus low-reuse shared
 	// key exchange; no replication benefit, R-NUCA's private placement wins.

@@ -14,8 +14,8 @@
 //	res, err := lard.Run("BARNES", lard.LocalityAware(3), lard.Options{})
 //	fmt.Println(res.CompletionCycles, res.EnergyTotalPJ())
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record of every figure and table.
+// README.md describes the command-line tools, the simulation service and
+// the package layout.
 package lard
 
 import (
@@ -106,18 +106,6 @@ type Options struct {
 	CheckInvariants bool `json:"check_invariants,omitempty"`
 	// TrackRuns collects the Figure-1 run-length histogram.
 	TrackRuns bool `json:"track_runs,omitempty"`
-	// SimWorkers sets the intra-run worker-lane count of the conflict-aware
-	// parallel access scheduler (0 or 1 = the sequential loop). The
-	// simulated outcome is identical at every width by construction, so the
-	// knob is execution plumbing like Timing: excluded from JSON encoding
-	// and from content addresses. Negative values are rejected.
-	// Configurations the scheduler cannot analyze (ASR, cluster
-	// replication, TLH-LRU, the ablation oracles, invariant checking) fall
-	// back to the sequential loop silently. Do not combine with
-	// campaign-level parallelism (harness Parallelism, the server worker
-	// pool): those layers already saturate the machine with independent
-	// runs and guard this knob back to 1.
-	SimWorkers int `json:"-"`
 	// Timing, when non-nil, receives the simulator's wall-clock phase
 	// breakdown (setup, trace decode, coherence loop, finalize). Like a
 	// ProgressFunc it is execution plumbing, not run identity: it is
@@ -151,11 +139,6 @@ type Result struct {
 	RunLengthShares map[string]float64 `json:"run_length_shares,omitempty"`
 	// Ops is the total number of memory references executed.
 	Ops uint64 `json:"ops"`
-	// Parallel is the intra-run access scheduler's efficiency telemetry
-	// (all zero on sequential runs and on results served from a store —
-	// it describes the execution that produced the result, not the result,
-	// so it is key-neutral and excluded from the stored encoding).
-	Parallel sim.ParallelStats `json:"-"`
 }
 
 // EnergyTotalPJ returns the total dynamic energy of the run.
@@ -314,16 +297,12 @@ func buildConfig(s Scheme, o Options) (*config.Config, sim.Options, error) {
 	if err != nil {
 		return nil, sim.Options{}, err
 	}
-	if o.SimWorkers < 0 {
-		return nil, sim.Options{}, fmt.Errorf("lard: SimWorkers must be non-negative, got %d", o.SimWorkers)
-	}
 	opt := sim.Options{
 		Scheme:          def.engine,
 		Seed:            o.Seed,
 		OpsScale:        o.OpsScale,
 		CheckInvariants: o.CheckInvariants,
 		TrackRuns:       o.TrackRuns,
-		Workers:         o.SimWorkers,
 		Timing:          o.Timing,
 		Telemetry:       o.Telemetry,
 	}
@@ -354,7 +333,6 @@ func export(r *sim.Result) *Result {
 		EnergyPJ:         make(map[string]float64, energy.NumComponents),
 		Misses:           make(map[string]uint64, stats.NumMissTypes),
 		Ops:              r.Ops,
-		Parallel:         r.Parallel,
 	}
 	for i := 0; i < stats.NumTimeComponents; i++ {
 		out.TimeBreakdown[stats.TimeComponent(i).String()] = uint64(r.Time[i])
