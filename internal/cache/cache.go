@@ -32,12 +32,23 @@ type Line[M any] struct {
 type VictimSelector[M any] func(ways []Line[M]) int
 
 // Cache is a set-associative cache with W ways and S sets.
+//
+// Besides the lines, the cache keeps a packed tag array parallel to them:
+// tags[i] is lines[i].Addr while the way is valid and noTag while it is
+// free. Set scans (Lookup, Insert's duplicate and free-way search,
+// Invalidate) compare 8-byte tags instead of walking whole lines, which
+// carry the caller's metadata and span a cache line or more each.
 type Cache[M any] struct {
 	sets, ways int
-	lines      []Line[M] // sets*ways, set-major
+	lines      []Line[M]      // sets*ways, set-major
+	tags       []mem.LineAddr // parallel to lines; noTag marks a free way
 	clock      uint64
 	size       int // number of valid lines
 }
+
+// noTag marks a free way in the tag array. It is not a storable line
+// address: Insert rejects it.
+const noTag = ^mem.LineAddr(0)
 
 // New returns a cache with the given total line count and associativity.
 // totalLines must be a positive multiple of ways and totalLines/ways must be
@@ -50,7 +61,11 @@ func New[M any](totalLines, ways int) *Cache[M] {
 	if bits.OnesCount(uint(sets)) != 1 {
 		panic("cache: number of sets must be a power of two")
 	}
-	return &Cache[M]{sets: sets, ways: ways, lines: make([]Line[M], totalLines)}
+	tags := make([]mem.LineAddr, totalLines)
+	for i := range tags {
+		tags[i] = noTag
+	}
+	return &Cache[M]{sets: sets, ways: ways, lines: make([]Line[M], totalLines), tags: tags}
 }
 
 // Sets returns the number of sets.
@@ -77,19 +92,25 @@ func (c *Cache[M]) SetOf(a mem.LineAddr) int {
 	return int(h & uint64(c.sets-1))
 }
 
-func (c *Cache[M]) set(a mem.LineAddr) []Line[M] {
-	s := c.SetOf(a)
-	return c.lines[s*c.ways : (s+1)*c.ways]
+// way returns the index into lines/tags of the way holding a, or -1.
+func (c *Cache[M]) way(a mem.LineAddr) int {
+	if a == noTag {
+		return -1
+	}
+	base := c.SetOf(a) * c.ways
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == a {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup returns the valid line holding a, or nil on miss. It does not touch
 // LRU state; callers decide when a lookup counts as a use (Touch).
 func (c *Cache[M]) Lookup(a mem.LineAddr) *Line[M] {
-	set := c.set(a)
-	for i := range set {
-		if set[i].State.Valid() && set[i].Addr == a {
-			return &set[i]
-		}
+	if i := c.way(a); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
 }
@@ -103,24 +124,28 @@ func (c *Cache[M]) Touch(l *Line[M]) {
 // Insert places line a into the cache in the given state and returns a
 // pointer to the inserted line. If the set is full, sel chooses the victim;
 // the evicted line is returned with evicted=true. Inserting an address that
-// is already present panics: callers must Lookup first.
+// is already present panics: callers must Lookup first, and so does
+// inserting the all-ones address, which the tag array reserves.
 //
 // The returned insert pointer is valid until the next mutation of the cache.
 func (c *Cache[M]) Insert(a mem.LineAddr, state mem.MESI, sel VictimSelector[M]) (inserted *Line[M], victim Line[M], evicted bool) {
 	if !state.Valid() {
 		panic("cache: Insert with Invalid state")
 	}
-	set := c.set(a)
+	if a == noTag {
+		panic("cache: Insert of the reserved all-ones line address")
+	}
+	base := c.SetOf(a) * c.ways
+	set := c.lines[base : base+c.ways]
 	free := -1
-	for i := range set {
-		if !set[i].State.Valid() {
+	for i, t := range c.tags[base : base+c.ways] {
+		switch t {
+		case a:
+			panic("cache: Insert of already-present line")
+		case noTag:
 			if free < 0 {
 				free = i
 			}
-			continue
-		}
-		if set[i].Addr == a {
-			panic("cache: Insert of already-present line")
 		}
 	}
 	if free < 0 {
@@ -135,27 +160,35 @@ func (c *Cache[M]) Insert(a mem.LineAddr, state mem.MESI, sel VictimSelector[M])
 	c.clock++
 	var zero M
 	set[free] = Line[M]{Addr: a, State: state, LastUse: c.clock, Meta: zero}
+	c.tags[base+free] = a
 	c.size++
 	return &set[free], victim, evicted
 }
 
 // Invalidate removes line a if present and returns the removed copy.
 func (c *Cache[M]) Invalidate(a mem.LineAddr) (removed Line[M], ok bool) {
-	l := c.Lookup(a)
-	if l == nil {
+	i := c.way(a)
+	if i < 0 {
 		return Line[M]{}, false
 	}
+	l := &c.lines[i]
 	removed = *l
 	l.State = mem.Invalid
 	l.Dirty = false
+	c.tags[i] = noTag
 	c.size--
 	return removed, true
 }
 
 // WaysOf returns the set holding line a as a mutable slice. Callers may
-// inspect the ways (e.g. to pre-check an insertion filter) but must not
-// change Addr/State directly; use Insert and Invalidate for that.
-func (c *Cache[M]) WaysOf(a mem.LineAddr) []Line[M] { return c.set(a) }
+// inspect the ways (e.g. to pre-check an insertion filter) and move a valid
+// line between valid states, but must not change Addr or make a line
+// Invalid directly: the tag array would no longer match. Use Insert and
+// Invalidate for that.
+func (c *Cache[M]) WaysOf(a mem.LineAddr) []Line[M] {
+	s := c.SetOf(a)
+	return c.lines[s*c.ways : (s+1)*c.ways]
+}
 
 // ForEach calls fn for every valid line. fn must not insert or invalidate.
 func (c *Cache[M]) ForEach(fn func(l *Line[M])) {

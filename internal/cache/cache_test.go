@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -276,4 +277,102 @@ func TestSetHashSpread(t *testing.T) {
 	if len(used) < 256 {
 		t.Fatalf("stride-64 addresses hit only %d of 512 sets", len(used))
 	}
+}
+
+// TestAgainstMapModel drives random Insert/Invalidate/Lookup/Touch
+// sequences at L1-like (4-way) and LLC-like (8-way) geometries against a
+// naive map of the resident lines. It keeps the packed tag array and the
+// lines in step: every scan that uses the tags must agree with the lines
+// the model says are resident.
+func TestAgainstMapModel(t *testing.T) {
+	for _, g := range []struct{ lines, ways int }{{64, 4}, {256, 8}} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			c := newTestCache(g.lines, g.ways)
+			model := map[mem.LineAddr]mem.MESI{}
+			rng := rand.New(rand.NewPCG(seed, uint64(g.ways)))
+			// Addresses span four times the capacity, so sets overflow
+			// and evict often.
+			span := uint64(4 * g.lines)
+			for step := 0; step < 20000; step++ {
+				a := mem.LineAddr(rng.Uint64N(span))
+				switch op := rng.IntN(10); {
+				case op < 4:
+					if _, ok := model[a]; ok {
+						if !insertPanics(c, a) {
+							t.Fatalf("%d-way seed %d step %d: duplicate Insert(%#x) must panic", g.ways, seed, step, a)
+						}
+						continue
+					}
+					state := []mem.MESI{mem.Shared, mem.Exclusive, mem.Modified}[rng.IntN(3)]
+					ins, victim, evicted := c.Insert(a, state, LRU[meta]())
+					if ins.Addr != a || ins.State != state {
+						t.Fatalf("%d-way seed %d step %d: Insert returned %+v", g.ways, seed, step, *ins)
+					}
+					if evicted {
+						if _, ok := model[victim.Addr]; !ok || c.SetOf(victim.Addr) != c.SetOf(a) {
+							t.Fatalf("%d-way seed %d step %d: evicted %#x, not a resident set-mate of %#x", g.ways, seed, step, victim.Addr, a)
+						}
+						delete(model, victim.Addr)
+					}
+					model[a] = state
+				case op < 6:
+					removed, ok := c.Invalidate(a)
+					state, resident := model[a]
+					if ok != resident || (ok && (removed.Addr != a || removed.State != state)) {
+						t.Fatalf("%d-way seed %d step %d: Invalidate(%#x) = %+v, %v; model resident=%v", g.ways, seed, step, a, removed, ok, resident)
+					}
+					delete(model, a)
+				case op < 8:
+					if l := c.Lookup(a); l != nil {
+						c.Touch(l)
+					}
+				}
+				l := c.Lookup(a)
+				state, resident := model[a]
+				if (l != nil) != resident || (l != nil && (l.Addr != a || l.State != state)) {
+					t.Fatalf("%d-way seed %d step %d: Lookup(%#x) = %v; model resident=%v state=%v", g.ways, seed, step, a, l, resident, state)
+				}
+			}
+			if c.Len() != len(model) {
+				t.Fatalf("%d-way seed %d: Len = %d, model holds %d", g.ways, seed, c.Len(), len(model))
+			}
+			seen := map[mem.LineAddr]bool{}
+			c.ForEach(func(l *Line[meta]) {
+				if state, ok := model[l.Addr]; !ok || state != l.State || seen[l.Addr] {
+					t.Fatalf("%d-way seed %d: ForEach visited %#x (%v), model has it=%v", g.ways, seed, l.Addr, l.State, ok)
+				}
+				seen[l.Addr] = true
+			})
+			if len(seen) != len(model) {
+				t.Fatalf("%d-way seed %d: ForEach visited %d lines, model holds %d", g.ways, seed, len(seen), len(model))
+			}
+			for a := range model {
+				if c.Lookup(a) == nil {
+					t.Fatalf("%d-way seed %d: resident line %#x not found", g.ways, seed, a)
+				}
+			}
+		}
+	}
+}
+
+// TestReservedAddress: the all-ones address marks free ways in the tag
+// array, so it can never be inserted and never hits.
+func TestReservedAddress(t *testing.T) {
+	c := newTestCache(64, 4)
+	if c.Lookup(noTag) != nil {
+		t.Fatal("Lookup of the reserved address must miss on an empty cache")
+	}
+	if !insertPanics(c, noTag) {
+		t.Fatal("Insert of the reserved address must panic")
+	}
+	if _, ok := c.Invalidate(noTag); ok {
+		t.Fatal("Invalidate of the reserved address must report absence")
+	}
+}
+
+// insertPanics reports whether inserting a panics.
+func insertPanics(c *Cache[meta], a mem.LineAddr) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	c.Insert(a, mem.Shared, LRU[meta]())
+	return false
 }

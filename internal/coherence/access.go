@@ -188,14 +188,22 @@ func (e *Engine) atHome(c, home mem.CoreID, op Op, t mem.Cycles, res *AccessResu
 	arrive := e.mesh.Send(src, home, e.ctrlFlits(), t)
 	res.Breakdown[stats.L1ToLLCHome] += arrive - tstart
 
-	// Home serialization: the paper's "LLC home waiting time".
-	begin := max(arrive, e.tiles[home].busy[op.Line])
+	// Home serialization: the paper's "LLC home waiting time". The busy
+	// time sits in the home line, or in the slice's spill map while the
+	// line is out of the slice.
+	hl := e.homeEntry(home, op.Line)
+	var busy mem.Cycles
+	if hl != nil {
+		busy = hl.Meta.busy
+	} else {
+		busy = e.tiles[home].spill[op.Line]
+	}
+	begin := max(arrive, busy)
 	res.Breakdown[stats.LLCHomeWaiting] += begin - arrive
 	t = begin + e.cfg.LLCTagLatency
 	e.chargeLLCTag(false)
 	e.chargeDir(false)
 
-	hl := e.homeEntry(home, op.Line)
 	if hl == nil {
 		// Off-chip fetch.
 		t0 := t
@@ -278,7 +286,7 @@ func (e *Engine) homeRead(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycles
 	}
 	e.chargeDir(true)
 
-	e.tiles[home].busy[la] = t // home entry free for the next request
+	hl.Meta.busy = t // home entry free for the next request
 
 	version := ent.Version
 	sharedRO := hl.Meta.everShared && !hl.Meta.everWritten
@@ -378,7 +386,7 @@ func (e *Engine) homeWrite(c, home mem.CoreID, op Op, hl *cacheLine, t mem.Cycle
 		e.chargeLLCData(false)
 	}
 
-	e.tiles[home].busy[la] = t
+	hl.Meta.busy = t
 
 	if home == c {
 		e.fillL1(c, op, mem.Modified, true, version, false, t)

@@ -147,11 +147,11 @@ func New(cfg *config.Config, opts Options) *Engine {
 	e.tiles = make([]*tile, cfg.Cores)
 	for i := range e.tiles {
 		e.tiles[i] = &tile{
-			id:   mem.CoreID(i),
-			l1i:  cache.New[l1Meta](cfg.L1ILines, cfg.L1IWays),
-			l1d:  cache.New[l1Meta](cfg.L1DLines, cfg.L1DWays),
-			llc:  cache.New[llcMeta](cfg.LLCSliceLines, cfg.LLCWays),
-			busy: make(map[mem.LineAddr]mem.Cycles),
+			id:    mem.CoreID(i),
+			l1i:   cache.New[l1Meta](cfg.L1ILines, cfg.L1IWays),
+			l1d:   cache.New[l1Meta](cfg.L1DLines, cfg.L1DWays),
+			llc:   cache.New[llcMeta](cfg.LLCSliceLines, cfg.LLCWays),
+			spill: make(map[mem.LineAddr]mem.Cycles),
 		}
 	}
 	if opts.TrackRuns {

@@ -9,17 +9,23 @@ import (
 // insertHomeLine allocates the home copy (with a fresh directory entry) at
 // the home slice after an off-chip fill, disposing of the displaced victim.
 // The dispose runs first, so an entry recycled from the victim can serve
-// the incoming line immediately.
+// the incoming line immediately. A busy time the line left in the slice's
+// spill map when it last left the slice moves back into the line.
 func (e *Engine) insertHomeLine(home mem.CoreID, op Op, t mem.Cycles) *cacheLine {
 	tl := e.tiles[home]
 	ins, victim, evicted := tl.llc.Insert(op.Line, mem.Shared, e.llcVictim(tl))
 	if evicted {
 		e.dispose(home, victim, t)
 	}
+	busy, spilled := tl.spill[op.Line]
+	if spilled {
+		delete(tl.spill, op.Line)
+	}
 	ins.Meta = llcMeta{
 		home:  true,
 		dir:   e.newDirEntry(),
 		class: op.Class,
+		busy:  busy,
 	}
 	return ins
 }
@@ -78,11 +84,12 @@ func (e *Engine) evictHomeLine(home mem.CoreID, la mem.LineAddr, t mem.Cycles) {
 }
 
 // disposeHome retires an evicted home line: the LLC is inclusive, so every
-// cached copy (L1s, local replicas, cluster replicas) is invalidated, and
-// dirty data is written back off-chip. Eviction traffic is charged to the
-// network/DRAM models but not to any requester's critical path (write-back
-// buffers hide it); the paper's replacement policy keeps these
-// back-invalidations rare (§2.2.3-2.2.4).
+// cached copy (L1s, local replicas, cluster replicas) is invalidated, dirty
+// data is written back off-chip, and the line's busy time goes to the
+// slice's spill map. Eviction traffic is charged to the network/DRAM models
+// but not to any requester's critical path (write-back buffers hide it); the
+// paper's replacement policy keeps these back-invalidations rare
+// (§2.2.3-2.2.4).
 func (e *Engine) disposeHome(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
 	la := victim.Addr
 	ent := victim.Meta.dir
@@ -132,6 +139,11 @@ func (e *Engine) disposeHome(slice mem.CoreID, victim cacheLine, t mem.Cycles) {
 		ctrl := e.dram.ControllerFor(la)
 		arr := e.mesh.Send(slice, e.dram.TileOf(ctrl), e.dataFlits(), t)
 		e.dram.Access(ctrl, arr)
+	}
+	// The line's busy time outlives it: a refetch must still wait for the
+	// last transaction the home serialized on it.
+	if victim.Meta.busy != 0 {
+		e.tiles[slice].spill[la] = victim.Meta.busy
 	}
 	// The entry is dead: nothing references it past this point (the home
 	// line holding it was invalidated before disposeHome was called).

@@ -9,9 +9,9 @@
 //
 // Coherence transactions execute atomically at the home directory with
 // timing composed from the network, DRAM and queueing models; requests to the
-// same line serialize at its home slice (tile.busy), which produces the
-// paper's "LLC home waiting time" component of the §3.4 completion-time
-// breakdown.
+// same line serialize at its home slice (the home line's busy time), which
+// produces the paper's "LLC home waiting time" component of the §3.4
+// completion-time breakdown.
 package coherence
 
 import (
@@ -114,6 +114,11 @@ type llcMeta struct {
 	firstSeen bool
 	// class is the ground-truth data class (statistics only).
 	class mem.DataClass
+	// busy is the cycle at which a home line's entry is free for the next
+	// request (the paper's "LLC home waiting time"). It lives in the line,
+	// next to the directory entry it serializes; tile.spill keeps it while
+	// the line is out of the slice.
+	busy mem.Cycles
 }
 
 // tile is one core's slice of the memory system.
@@ -122,12 +127,13 @@ type tile struct {
 	l1i *cache.Cache[l1Meta]
 	l1d *cache.Cache[l1Meta]
 	llc *cache.Cache[llcMeta]
-	// busy[la] is the cycle at which this slice's home entry for la is free
-	// for the next request (the paper's "LLC home waiting time"). The map
-	// lives with the slice that serializes the requests: instruction lines
-	// under R-NUCA have one home per cluster, so the same line can be busy
-	// at several homes independently.
-	busy map[mem.LineAddr]mem.Cycles
+	// spill[la] holds the busy time of a home line that has left this
+	// slice (eviction or page reclassification), so a refetch still waits
+	// for the last transaction on the line; insertHomeLine moves it back
+	// into the line. It lives with the slice that serializes the requests:
+	// instruction lines under R-NUCA have one home per cluster, so the same
+	// line can be busy at several homes independently.
+	spill map[mem.LineAddr]mem.Cycles
 }
 
 // l1For returns the L1 cache serving the access type.

@@ -47,6 +47,9 @@ type Base struct {
 	// agg is the matrix-level aggregator RunMatrix installs; standalone
 	// runs leave it nil and report member-only progress.
 	agg *matrixAgg
+	// tapes is the campaign's shared-trace cache RunMatrix installs;
+	// standalone runs leave it nil and synthesize their traces on the fly.
+	tapes *tapeCache
 }
 
 // CampaignProgress is one observation of a running campaign.
@@ -171,14 +174,93 @@ func (b Base) StoreSummary() string {
 }
 
 // simulate runs one fully-configured simulation, through the result store
-// when the campaign has one.
+// when the campaign has one. Under RunMatrix the simulation replays its
+// row's shared trace, fetched only once the simulation actually runs, so a
+// member the store serves synthesizes nothing.
 func (b Base) simulate(cfg *config.Config, prof trace.Profile, opt sim.Options) (*sim.Result, error) {
-	if b.Store == nil {
-		return sim.Run(cfg, prof, opt), nil
+	run := func() (*sim.Result, error) {
+		o := opt
+		if b.tapes != nil {
+			o.Tape = b.tapes.get(prof, cfg, opt.OpsScale, opt.Seed)
+		}
+		return sim.Run(cfg, prof, o), nil
 	}
-	res, _, err := b.Store.GetOrCompute(resultstore.SpecFor(prof.Name, cfg, opt),
-		func() (*sim.Result, error) { return sim.Run(cfg, prof, opt), nil })
+	if b.Store == nil {
+		return run()
+	}
+	res, _, err := b.Store.GetOrCompute(resultstore.SpecFor(prof.Name, cfg, opt), run)
 	return res, err
+}
+
+// tapeCache shares one synthesized trace among the simulations of a
+// campaign row. Every column of a row — and each of AutoASR's five level
+// runs — simulates the same workload, so the row records it once
+// (trace.Record) and each simulation replays the tape. A tape is built
+// when a member of its row first simulates and dropped when the row's last
+// member returns, so only the rows in flight hold one.
+type tapeCache struct {
+	mu       sync.Mutex
+	left     map[string]int // benchmark row -> members still to return
+	tapes    map[trace.Key]*tapeEntry
+	recorded int // tapes recorded so far
+}
+
+// tapeEntry is one row's tape, recorded at most once.
+type tapeEntry struct {
+	once sync.Once
+	tape *trace.Tape
+}
+
+func newTapeCache() *tapeCache {
+	return &tapeCache{left: make(map[string]int), tapes: make(map[trace.Key]*tapeEntry)}
+}
+
+// get returns the tape of the workload a simulation of prof on cfg at
+// (scale, seed) runs, recording it on first use. Concurrent callers for
+// the same workload wait for the one recording.
+func (tc *tapeCache) get(prof trace.Profile, cfg *config.Config, scale float64, seed uint64) *trace.Tape {
+	if scale == 0 {
+		scale = 1 // sim.Run's default, which its tape check compares against
+	}
+	k := trace.KeyOf(prof, cfg, scale, seed)
+	tc.mu.Lock()
+	e := tc.tapes[k]
+	if e == nil {
+		e = &tapeEntry{}
+		tc.tapes[k] = e
+	}
+	tc.mu.Unlock()
+	e.once.Do(func() {
+		e.tape = trace.Record(prof, cfg, scale, seed)
+		tc.mu.Lock()
+		tc.recorded++
+		tc.mu.Unlock()
+	})
+	return e.tape
+}
+
+// done retires one member of row bench, dropping the row's tapes once its
+// last member has returned.
+func (tc *tapeCache) done(bench string) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	tc.left[bench]--
+	if tc.left[bench] > 0 {
+		return
+	}
+	delete(tc.left, bench)
+	for k := range tc.tapes {
+		if k.Profile.Name == bench {
+			delete(tc.tapes, k)
+		}
+	}
+}
+
+// counts returns the number of tapes the cache holds and has recorded.
+func (tc *tapeCache) counts() (held, recorded int) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return len(tc.tapes), tc.recorded
 }
 
 // cores returns the effective core count (0 defaults to 64). It does not
@@ -418,8 +500,15 @@ type Matrix struct {
 }
 
 // RunMatrix executes every (benchmark, variant) pair, fanning the
-// independent simulations out over Parallelism workers.
+// independent simulations out over Parallelism workers. The simulations of
+// one benchmark row share one synthesized trace.
 func RunMatrix(base Base, variants []Variant) (*Matrix, error) {
+	return runMatrix(base, variants, newTapeCache())
+}
+
+// runMatrix is RunMatrix with the campaign's tape cache supplied, so tests
+// can inspect it afterwards.
+func runMatrix(base Base, variants []Variant, tapes *tapeCache) (*Matrix, error) {
 	benches := base.benchmarks()
 	m := &Matrix{
 		Benches:  benches,
@@ -439,6 +528,23 @@ func RunMatrix(base Base, variants []Variant) (*Matrix, error) {
 		// carries (finished, total, overall) across the whole matrix.
 		base.agg = newMatrixAgg(len(benches) * len(variants))
 	}
+	// A row shares a tape only when it runs more than one simulation; a
+	// lone one synthesizes on the fly, as a standalone run does, instead of
+	// holding its whole trace in memory for no reuse.
+	sims := 0
+	for _, v := range variants {
+		if v.AutoASR {
+			sims += len(ASRLevels)
+		} else {
+			sims++
+		}
+	}
+	if sims > 1 {
+		base.tapes = tapes
+	}
+	for _, b := range benches {
+		tapes.left[b] += len(variants) // before any worker runs
+	}
 	par := base.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -454,6 +560,7 @@ func RunMatrix(base Base, variants []Variant) (*Matrix, error) {
 			defer wg.Done()
 			for j := range jobs {
 				res, err := Run(base, j.bench, j.v)
+				tapes.done(j.bench)
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err

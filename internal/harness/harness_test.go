@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -397,5 +399,87 @@ func TestStandaloneRunProgress(t *testing.T) {
 	}
 	if last.MemberDone != res.Ops || last.MemberTotal != res.Ops {
 		t.Fatalf("final member ops = %d/%d, want %d", last.MemberDone, last.MemberTotal, res.Ops)
+	}
+}
+
+// TestMatrixSharedTraceIdentical licenses tape sharing: a campaign whose
+// rows replay one recorded trace per row, at Parallelism 2 (so AutoASR's
+// level runs and two members replay the same tape concurrently), must
+// produce byte-identical results to members that each synthesize their own
+// trace. It records one tape per row and holds none once it returns.
+func TestMatrixSharedTraceIdentical(t *testing.T) {
+	for _, cores := range []int{4, 16} {
+		base := Base{Cores: cores, OpsScale: 0.05, Seed: 3, Parallelism: 2,
+			Benchmarks: []string{"BARNES", "CONCOMP", "PATRICIA"}}
+		if testing.Short() {
+			base.OpsScale = 0.02
+		}
+		tapes := newTapeCache()
+		m, err := runMatrix(base, StandardVariants(), tapes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, recorded := tapes.counts()
+		if held != 0 {
+			t.Fatalf("%d cores: %d tapes still cached after the campaign", cores, held)
+		}
+		if recorded != len(base.Benchmarks) {
+			t.Fatalf("%d cores: %d tapes recorded, want one per row (%d)", cores, recorded, len(base.Benchmarks))
+		}
+		for _, bench := range base.Benchmarks {
+			for _, v := range StandardVariants() {
+				own, err := Run(base, bench, v) // no tape cache: synthesizes on the fly
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(own)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(m.Get(bench, v.Label))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%d cores %s/%s: shared-trace result differs from a self-synthesized run\n got %s\nwant %s",
+						cores, bench, v.Label, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMatrixRecordsTapesOnlyForReuse: a tape is recorded only when a
+// row's member actually simulates and the row runs more than one
+// simulation. A campaign the store serves in full, and a matrix whose rows
+// hold a single simulation, synthesize on the fly and record none.
+func TestMatrixRecordsTapesOnlyForReuse(t *testing.T) {
+	st, err := resultstore.New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := smallBase("BARNES", "DEDUP")
+	cached.OpsScale = 0.02
+	cached.Store = st
+	if _, err := RunMatrix(cached, StandardVariants()); err != nil {
+		t.Fatal(err)
+	}
+	lone := smallBase("BARNES", "DEDUP")
+	lone.OpsScale = 0.02
+	for _, c := range []struct {
+		name     string
+		base     Base
+		variants []Variant
+	}{
+		{"cached campaign", cached, StandardVariants()},
+		{"one simulation per row", lone, StandardVariants()[:1]},
+	} {
+		tapes := newTapeCache()
+		if _, err := runMatrix(c.base, c.variants, tapes); err != nil {
+			t.Fatal(err)
+		}
+		if held, recorded := tapes.counts(); held != 0 || recorded != 0 {
+			t.Errorf("%s: %d tapes held, %d recorded; want none", c.name, held, recorded)
+		}
 	}
 }

@@ -63,15 +63,16 @@ type Spec struct {
 // SpecFor builds the canonical Spec for simulating benchmark bench on cfg
 // with opt. It normalizes defaulted fields (OpsScale 0 means 1.0, exactly
 // as sim.Run treats it) so equivalent requests share one address, and
-// strips the execution-only observer fields (progress callback, interrupt
-// channel): a spec is run identity, and two runs that differ only in who
-// is watching are the same run.
+// strips the execution-only fields (observers such as the progress
+// callback and interrupt channel, and a pre-recorded trace tape): a spec is
+// run identity, and two runs that differ only in who is watching, or in
+// whether the trace was synthesized ahead of time, are the same run.
 func SpecFor(bench string, cfg *config.Config, opt sim.Options) Spec {
 	if opt.OpsScale == 0 {
 		opt.OpsScale = 1
 	}
 	opt.Progress, opt.ProgressEvery, opt.Interrupt, opt.Timing = nil, 0, nil, nil
-	opt.Telemetry = nil
+	opt.Telemetry, opt.Tape = nil, nil
 	return Spec{Benchmark: bench, Config: *cfg, Options: opt}
 }
 

@@ -21,11 +21,11 @@ import (
 
 // Options configure one simulation run.
 //
-// The Progress/ProgressEvery/Interrupt/Timing fields are execution
-// plumbing, not run identity: they are excluded from JSON encoding (and
-// therefore from every resultstore content address — two runs that differ
-// only in their observers are the same run) and must never change the
-// simulated outcome.
+// The Progress/ProgressEvery/Interrupt/Timing/Telemetry/Tape fields are
+// execution plumbing, not run identity: they are excluded from JSON
+// encoding (and therefore from every resultstore content address — two
+// runs that differ only in their observers are the same run) and must
+// never change the simulated outcome.
 //
 // Identity fields carry explicit json tags spelling their Go names: the
 // encoding predates the tags and existing content addresses are frozen,
@@ -70,6 +70,12 @@ type Options struct {
 	// observers, and result-neutral: sampling only reads counters the
 	// engine and run loop already maintain.
 	Telemetry *obs.Recorder `json:"-"`
+	// Tape, when non-nil, is this run's workload recorded ahead of time by
+	// trace.Record; Run replays it instead of synthesizing the streams. A
+	// tape replays exactly the operations the live streams would produce,
+	// so it is result-neutral as well as key-neutral. Run panics on a tape
+	// whose key differs from the run's (profile, machine, OpsScale, Seed).
+	Tape *trace.Tape `json:"-"`
 }
 
 // DefaultProgressEvery is the default Progress/Interrupt polling cadence,
@@ -226,14 +232,32 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 		TrackRuns:       opt.TrackRuns,
 	})
 	lap(&tm.Setup)
-	w := trace.Generate(p, cfg, opt.OpsScale, opt.Seed)
+	n := cfg.Cores
+	// Each core reads its operations from a source: the live stream, or its
+	// sequence on the run's tape.
+	src := make([]source, n)
+	var memOps uint64
+	if t := opt.Tape; t != nil {
+		if t.Key != trace.KeyOf(p, cfg, opt.OpsScale, opt.Seed) {
+			panic("sim: Options.Tape was recorded for a different workload")
+		}
+		for c := range src {
+			src[c] = t.Replay(c)
+		}
+		memOps = t.MemOps
+	} else {
+		w := trace.Generate(p, cfg, opt.OpsScale, opt.Seed)
+		for c, s := range w.Streams {
+			src[c] = s
+			memOps += uint64(s.Remaining())
+		}
+	}
 	lap(&tm.TraceDecode)
 
-	n := cfg.Cores
 	st := &runState{
 		opt: &opt,
 		eng: eng,
-		w:   w,
+		src: src,
 		n:   n,
 		sch: newSched(n),
 
@@ -257,17 +281,15 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 	// Progress/interrupt/telemetry cadence: checkEvery stays 0 when no
 	// observer is wired, so the steady-state cost of this feature is one
 	// predictable branch per operation (checkLeft counts down and resets,
-	// sparing the hot path a modulo). Remaining() is exact here — the chunk
-	// windows above are filled lazily, after this count.
+	// sparing the hot path a modulo). memOps is exact here — the chunk
+	// windows above are filled lazily, after it was counted.
 	if opt.Progress != nil || opt.Interrupt != nil || opt.Telemetry != nil {
 		st.checkEvery = opt.ProgressEvery
 		if st.checkEvery == 0 {
 			st.checkEvery = DefaultProgressEvery
 		}
 		st.checkLeft = st.checkEvery
-		for c := 0; c < n; c++ {
-			st.targetOps += uint64(w.Streams[c].Remaining())
-		}
+		st.targetOps = memOps
 	}
 
 	// Telemetry setup happens once per run (allocation is fine here); the
@@ -339,12 +361,18 @@ func Run(cfg *config.Config, p trace.Profile, opt Options) *Result {
 	return r
 }
 
+// source is where a core's operations come from: a live *trace.Stream or
+// a *trace.Replay of a recorded tape.
+type source interface {
+	Fill(dst []trace.Op) int
+}
+
 // runState is the mutable state of one run: the event scheduler, the
 // per-core aggregates and the per-core trace windows the event loop reads.
 type runState struct {
 	opt *Options
 	eng *coherence.Engine
-	w   *trace.Workload
+	src []source
 	n   int
 
 	sch        *sched
@@ -412,10 +440,10 @@ func (st *runState) runSequential() (interrupted bool) {
 func (st *runState) fill(c mem.CoreID) int {
 	buf := st.bufs[int(c)*opChunk : (int(c)+1)*opChunk]
 	if st.opt.Timing == nil {
-		return st.w.Streams[c].Fill(buf)
+		return st.src[c].Fill(buf)
 	}
 	start := time.Now()
-	k := st.w.Streams[c].Fill(buf)
+	k := st.src[c].Fill(buf)
 	st.fillTime += time.Since(start)
 	return k
 }

@@ -262,3 +262,33 @@ func TestInterruptFromAnotherGoroutine(t *testing.T) {
 		t.Fatal("test never armed the interrupt")
 	}
 }
+
+// TestTapeMustMatchRun: a tape recorded for another workload (here another
+// seed) is refused loudly instead of silently simulating the wrong trace
+// under this run's key; the matching tape reproduces the run exactly,
+// progress counts included.
+func TestTapeMustMatchRun(t *testing.T) {
+	p, err := trace.ProfileByName("BARNES")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Small()
+	var total uint64
+	opt := Options{Scheme: coherence.LocalityAware, OpsScale: 0.05, Seed: 4,
+		Progress: func(_, n uint64) { total = n }}
+	want := Run(cfg, p, opt)
+	wantTotal := total
+
+	opt.Tape = trace.Record(p, cfg, 0.05, 4)
+	if got := Run(cfg, p, opt); *got != *want || total != wantTotal {
+		t.Fatalf("replayed run differs: %+v (progress total %d), want %+v (%d)", got, total, want, wantTotal)
+	}
+
+	opt.Tape = trace.Record(p, cfg, 0.05, 5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a tape recorded for another seed must panic")
+		}
+	}()
+	Run(cfg, p, opt)
+}

@@ -32,3 +32,32 @@ func BenchmarkTraceGen(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTapeReplay measures the per-op cost of replaying a recorded
+// workload through the same chunked Fill the simulator uses — what each
+// campaign simulation pays for its trace once its row's tape is recorded,
+// against BenchmarkTraceGen's synthesis cost.
+func BenchmarkTapeReplay(b *testing.B) {
+	cfg := config.Small()
+	p, err := ProfileByName("BARNES")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tape := Record(p, cfg, 1.0, 42)
+	buf := make([]Op, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for n < b.N {
+		for c := range tape.streams {
+			r := tape.Replay(c)
+			for n < b.N {
+				got := r.Fill(buf)
+				if got == 0 {
+					break
+				}
+				n += got
+			}
+		}
+	}
+}

@@ -70,7 +70,6 @@ type Stream struct {
 	perPhase       int // ops between barriers
 	sincePhase     int
 	barriersLeft   int
-	pendingBarrier bool
 
 	weights classWeights
 	deficit classWeights
@@ -149,6 +148,72 @@ func Generate(p Profile, cfg *config.Config, opsScale float64, seed uint64) *Wor
 	return w
 }
 
+// Key identifies a synthesized workload by everything Generate reads: the
+// profile, the machine's core count and LLC slice size (working sets scale
+// with it), the operation scale and the seed. Equal keys synthesize equal
+// streams.
+type Key struct {
+	Profile       Profile
+	Cores         int
+	LLCSliceLines int
+	OpsScale      float64
+	Seed          uint64
+}
+
+// KeyOf returns the key of Generate(p, cfg, opsScale, seed).
+func KeyOf(p Profile, cfg *config.Config, opsScale float64, seed uint64) Key {
+	return Key{Profile: p, Cores: cfg.Cores, LLCSliceLines: cfg.LLCSliceLines, OpsScale: opsScale, Seed: seed}
+}
+
+// Tape is a workload synthesized once, ahead of the simulations that run
+// it: every core's whole operation sequence, barriers included. Several
+// simulations of one workload — the scheme columns of a campaign row — can
+// each replay the tape instead of re-synthesizing the streams. A tape is
+// never written after Record returns, so concurrent replays may share it.
+type Tape struct {
+	// Key identifies the recorded workload.
+	Key Key
+	// streams holds core c's recorded sequence at streams[c].
+	streams [][]Op
+	// MemOps is the number of memory operations over all cores (barriers
+	// excluded), what the streams' Remaining counts summed to.
+	MemOps uint64
+}
+
+// Record synthesizes the workload Generate(p, cfg, opsScale, seed)
+// describes onto a tape.
+func Record(p Profile, cfg *config.Config, opsScale float64, seed uint64) *Tape {
+	w := Generate(p, cfg, opsScale, seed)
+	t := &Tape{Key: KeyOf(p, cfg, opsScale, seed), streams: make([][]Op, len(w.Streams))}
+	for c, s := range w.Streams {
+		t.MemOps += uint64(s.Remaining())
+		// A stream emits its Remaining memory operations and at most
+		// barriersLeft barriers, so one allocation holds it all.
+		ops := make([]Op, s.Remaining()+s.barriersLeft)
+		t.streams[c] = ops[:s.Fill(ops)]
+	}
+	return t
+}
+
+// Replay returns a cursor over core c's recorded sequence. Each cursor
+// keeps its own position, so replays of a shared tape are independent.
+func (t *Tape) Replay(c int) *Replay { return &Replay{ops: t.streams[c]} }
+
+// Replay reads one core's sequence back from a Tape.
+type Replay struct {
+	ops []Op // the operations not yet replayed
+}
+
+// Fill copies the next recorded operations into dst and returns how many
+// it copied; 0 means the sequence is exhausted. It is the tape counterpart
+// of Stream.Fill and yields exactly what the live stream's Fill calls
+// would.
+func (r *Replay) Fill(dst []Op) int {
+	n := copy(dst, r.ops)
+	r.ops = r.ops[n:]
+	return n
+}
+
 // Remaining returns the number of memory operations the stream will still
 // produce (barriers excluded).
 func (s *Stream) Remaining() int { return s.total - s.emitted }
@@ -176,10 +241,6 @@ func (s *Stream) Core() mem.CoreID { return s.core }
 
 // Next returns the next operation. ok is false when the stream is exhausted.
 func (s *Stream) Next() (op Op, ok bool) {
-	if s.pendingBarrier {
-		s.pendingBarrier = false
-		return Op{Barrier: true}, true
-	}
 	if s.emitted >= s.total {
 		return Op{}, false
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -436,5 +437,42 @@ func TestCoreLineHelper(t *testing.T) {
 	}
 	if mem.PageOf(a0) != mem.PageOf(a1) {
 		t.Fatal("false-shared lines of the same index must share a page")
+	}
+}
+
+// TestTapeMatchesStreams: a recorded tape replays, through chunked Fill
+// calls, exactly the sequence each live stream produces, barriers
+// included, and counts the same memory operations.
+func TestTapeMatchesStreams(t *testing.T) {
+	for _, name := range []string{"BARNES", "LU-NC", "BLACKSCH."} {
+		p := mustProfile(t, name)
+		for _, cores := range []int{4, 16} {
+			cfg, err := config.ForCores(cores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tape := Record(p, cfg, 0.05, 7)
+			if tape.Key != KeyOf(p, cfg, 0.05, 7) {
+				t.Fatalf("%s: tape key %+v", name, tape.Key)
+			}
+			w := Generate(p, cfg, 0.05, 7)
+			var memOps uint64
+			for c, s := range w.Streams {
+				memOps += uint64(s.Remaining())
+				want := collect(p, cfg, 0.05, 7, c)
+				var got []Op
+				r := tape.Replay(c)
+				buf := make([]Op, 100)
+				for n := r.Fill(buf); n > 0; n = r.Fill(buf) {
+					got = append(got, buf[:n]...)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%d cores: core %d replays %d ops, stream has %d (or they differ)", name, cfg.Cores, c, len(got), len(want))
+				}
+			}
+			if tape.MemOps != memOps {
+				t.Fatalf("%s: tape MemOps = %d, streams hold %d", name, tape.MemOps, memOps)
+			}
+		}
 	}
 }
